@@ -18,9 +18,14 @@
 // axisDist/axisFar would produce, and the accumulation runs in the same
 // dimension order, so every distance bound — and therefore every query
 // result and every simulated cost figure — is unchanged. Levels g ≤ 8
-// (≤ 256 cells per dimension) get tables; g ∈ {16, 32} fall back to a
-// precomputed-edge path that hoists the per-dimension division out of
-// the point loop (see DESIGN.md §9 for the break-even analysis).
+// (≤ 256 cells per dimension) get tables when the page holds at least
+// 2^g points; everything else — g ∈ {16, 32} and less populated small-g
+// pages — takes a precomputed-edge path that hoists the per-dimension
+// division out of the point loop. A table costs d·2^g cell evaluations
+// up front, the edge path at most count·d, and with early abandon far
+// less: the 300k-point CAD workload bounds 3.12 of 16 dimensions per
+// point, so a query's 37 table builds on 240-point g=8 pages cost 152k
+// cell evaluations to serve about 27.6k lookups (see DESIGN.md §9).
 package kernel
 
 import (
@@ -36,16 +41,17 @@ import (
 const TableMaxBits = 8
 
 // tableMinPoints is the page population below which building a
-// cells-entry table costs more than the per-point savings recoup.
-// Building one table entry costs about as much as bounding one
-// point-dimension the edge way, so the table pays off once the page
-// holds a reasonable fraction of 2^g points; sparsely filled pages keep
-// the edge path (both paths are exact, so this is purely a cost knob).
-func tableMinPoints(cells int) int { return cells / 4 }
+// cells-entry table costs more than it can save. One table entry costs
+// about as much as one point-dimension bound on the edge path, a table
+// has d·cells entries, and the edge path visits at most d dimensions per
+// point (early abandon usually stops it after a few), so the table can
+// only pay off once the page holds at least cells points. Both paths are
+// exact, so this is purely a cost rule.
+func tableMinPoints(cells int) int { return cells }
 
 // Tables holds the per-query, per-grid distance kernel state: either the
 // cell lookup tables (g ≤ 8) or the precomputed grid edges (g ∈ {16,32}
-// and sparsely populated small-g pages).
+// and small-g pages holding fewer than 2^g points).
 type Tables struct {
 	met    vec.Metric
 	dim    int
@@ -112,8 +118,7 @@ func (t *Tables) buildTab(g quantize.Grid, q vec.Point, met vec.Metric, cells in
 		for c := 0; c < cells; c++ {
 			lo := l + float64(c)*w
 			hi := lo + w
-			dl := axisDist(qi, lo, hi)
-			du := axisFar(qi, lo, hi)
+			dl, du := axisBounds(qi, lo, hi)
 			if eucl {
 				dl, du = dl*dl, du*du
 			}
@@ -278,7 +283,7 @@ func (t *Tables) accum(codes []uint32, up bool) (sl, su float64) {
 			lo, hi := t.cellSpan(i, c)
 			var v float64
 			if up {
-				v = axisFar(t.q[i], lo, hi)
+				_, v = axisBounds(t.q[i], lo, hi)
 			} else {
 				v = axisDist(t.q[i], lo, hi)
 			}
@@ -336,8 +341,7 @@ func (t *Tables) accumBoth(codes []uint32, lbT, ubT float64) (sl, su float64) {
 	maxm := t.met == vec.Maximum
 	for i, c := range codes {
 		lo, hi := t.cellSpan(i, c)
-		dl := axisDist(t.q[i], lo, hi)
-		du := axisFar(t.q[i], lo, hi)
+		dl, du := axisBounds(t.q[i], lo, hi)
 		if eucl {
 			dl, du = dl*dl, du*du
 		}
@@ -513,10 +517,24 @@ func axisDist(v, lo, hi float64) float64 {
 	}
 }
 
-// axisFar is the one-dimensional farthest distance from v to [lo, hi] —
-// identical to the quantize package's helper.
-func axisFar(v, lo, hi float64) float64 {
-	return math.Max(math.Abs(v-lo), math.Abs(v-hi))
+// axisBounds returns the one-dimensional nearest and farthest distances
+// from v to the cell [lo, hi] — bit-identical to the quantize package's
+// axisDist and axisFar. Outside the cell the farther edge is known
+// without math.Max: IEEE subtraction is monotone and fl(a−b) = −fl(b−a),
+// so below the cell |v−hi| = hi−v ≥ lo−v = |v−lo|, and symmetrically
+// above it. Inside the cell (and for NaN, which fails both comparisons)
+// the far side is not known, so it keeps axisFar's formula. Cells from
+// Grid.CellBounds arithmetic have lo ≤ hi or both edges NaN, the two
+// cases this relies on.
+func axisBounds(v, lo, hi float64) (near, far float64) {
+	switch {
+	case v < lo:
+		return lo - v, hi - v
+	case v > hi:
+		return v - hi, v - lo
+	default:
+		return 0, math.Max(math.Abs(v-lo), math.Abs(v-hi))
+	}
 }
 
 func growF64(s []float64, n int) []float64 {

@@ -105,14 +105,100 @@ func checkEquivalence(t *testing.T, rng *rand.Rand, g quantize.Grid, count int) 
 
 // TestTablesMatchGrid sweeps every bit width, both kernel paths (tables
 // and precomputed edges), all metrics, and degenerate MBR dimensions,
-// asserting exact float64 equality with Grid.MinDist/MaxDist.
+// asserting exact float64 equality with Grid.MinDist/MaxDist. Besides the
+// forced (-1) and empty (0) hints, every g ≤ 8 runs with page counts just
+// below and at the production cutoff 2^g, pinning which path each takes.
 func TestTablesMatchGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, bits := range quantize.Levels {
-		for _, count := range []int{-1, 0} { // -1 forces tables (g ≤ 8), 0 the edge path where the cutoff allows
+		counts := []int{-1, 0}
+		if bits <= TableMaxBits {
+			counts = append(counts, 1<<uint(bits)-1, 1<<uint(bits))
+		}
+		for _, count := range counts {
+			wantTab := bits <= TableMaxBits && (count < 0 || count >= 1<<uint(bits))
 			for iter := 0; iter < 200; iter++ {
 				dim := 1 + rng.Intn(24)
-				checkEquivalence(t, rng, randGrid(rng, dim, bits), count)
+				g := randGrid(rng, dim, bits)
+				var a Arena
+				if tb := a.Tables(g, g.MBR.Lo, vec.Euclidean, count); tb.useTab != wantTab {
+					t.Fatalf("bits=%d count=%d: useTab=%v, want %v", bits, count, tb.useTab, wantTab)
+				}
+				if wt := a.Window(g, g.MBR, count); wt.useTab != wantTab {
+					t.Fatalf("bits=%d count=%d: window useTab=%v, want %v", bits, count, wt.useTab, wantTab)
+				}
+				checkEquivalence(t, rng, g, count)
+			}
+		}
+	}
+}
+
+// TestAxisBoundsMatchesQuantize pins the fused axisBounds helper to the
+// quantize package's axisDist/axisFar bit for bit. The first leg reaches
+// the quantize helpers themselves through a one-dimensional Manhattan
+// Grid (MinDist/MaxDist are then 0 + axisDist/axisFar of the cell); the
+// second drives raw float64 triples, including the special values a Grid
+// cannot produce as cell edges, against the same formulas.
+func TestAxisBoundsMatchesQuantize(t *testing.T) {
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	negZero := math.Copysign(0, -1)
+	rng := rand.New(rand.NewSource(4))
+
+	// Grid leg: query coordinates at the cell edges, at ±0, ±Inf and NaN,
+	// and at random points; cells from ordinary and degenerate (w = 0)
+	// grids at every level.
+	for _, bits := range quantize.Levels {
+		for iter := 0; iter < 300; iter++ {
+			lo := float32(rng.NormFloat64())
+			hi := lo
+			if iter%3 != 0 {
+				hi = lo + float32(rng.ExpFloat64())
+			}
+			if iter%7 == 0 {
+				lo, hi = 0, 0
+			}
+			g := quantize.NewGrid(vec.MBR{Lo: vec.Point{lo}, Hi: vec.Point{hi}}, bits)
+			c := g.Encode(vec.Point{lo + (hi-lo)*rng.Float32()}, nil)
+			cl, ch := g.CellBounds(0, c[0])
+			for _, v := range []float64{cl, ch, 0, negZero, inf, -inf, nan,
+				float64(float32(cl)), float64(float32(ch)), float64(lo) - 1, float64(hi) + 1,
+				float64(lo) + float64(hi-lo)*rng.Float64()} {
+				q := vec.Point{float32(v)}
+				near, far := axisBounds(float64(q[0]), cl, ch)
+				wantN := g.MinDist(q, c, vec.Manhattan)
+				wantF := g.MaxDist(q, c, vec.Manhattan)
+				if !same(0+near, wantN) || !same(0+far, wantF) {
+					t.Fatalf("bits=%d cell [%v,%v] v=%v: axisBounds (%v,%v), Grid (%v,%v)",
+						bits, cl, ch, q[0], near, far, wantN, wantF)
+				}
+			}
+		}
+	}
+
+	// Raw leg: every cell lo ≤ hi, and the all-NaN cell that an infinite
+	// MBR side produces, from a set of special and ordinary values, against
+	// every v from the same set.
+	vals := []float64{0, negZero, 1, -1, 0.1, -2.5, 1e300, -1e300, math.SmallestNonzeroFloat64,
+		-math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64, inf, -inf, nan}
+	for i := 0; i < 200; i++ {
+		vals = append(vals, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(20)-10)))
+	}
+	for _, lo := range vals {
+		for _, hi := range vals {
+			if !(lo <= hi) && !(math.IsNaN(lo) && math.IsNaN(hi)) {
+				continue
+			}
+			for _, v := range vals {
+				near, far := axisBounds(v, lo, hi)
+				wantN := axisDist(v, lo, hi)
+				wantF := math.Max(math.Abs(v-lo), math.Abs(v-hi)) // quantize's axisFar
+				if !same(near, wantN) || !same(far, wantF) {
+					t.Fatalf("v=%v cell [%v,%v]: axisBounds (%v,%v), want (%v,%v)",
+						v, lo, hi, near, far, wantN, wantF)
+				}
 			}
 		}
 	}

@@ -51,8 +51,8 @@ func (t *Tables) BoundsBatch(codes []uint32, dim, count int, lbT, ubT float64, p
 }
 
 // MinDistBatch runs MinDistPruned over all count points against the
-// fixed threshold lbT, filling pb.Lb and pb.Pruned (pb.Ub is zeroed for
-// the pruned entries' slots and otherwise untouched semantics-wise).
+// fixed threshold lbT, filling pb.Lb and pb.Pruned. It never writes
+// pb.Ub, which is left stale from earlier calls.
 func (t *Tables) MinDistBatch(codes []uint32, dim, count int, lbT float64, pb *PageBounds) {
 	pb.grow(count)
 	for i := 0; i < count; i++ {

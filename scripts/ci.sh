@@ -109,11 +109,17 @@ go test -run '^$' -bench 'BenchmarkObserverOverhead' -benchtime 1000x -count 5 .
 		}'
 
 echo "== kernel filter gate =="
+# The pattern also runs BenchmarkQuantizedFilterPruned (the typical
+# 240-point g=8 page under early abandon); it is printed as a report and
+# has no bound.
 go test -run '^$' -bench 'BenchmarkQuantizedFilter' -benchtime 200x -count 3 ./internal/kernel |
 	awk '
 		/BenchmarkQuantizedFilter\/naive/  { if (!mn || $3 < mn) mn = $3 }
 		/BenchmarkQuantizedFilter\/kernel/ { if (!mk || $3 < mk) mk = $3 }
+		/BenchmarkQuantizedFilterPruned\/default/ { if (!pd || $3 < pd) pd = $3 }
+		/BenchmarkQuantizedFilterPruned\/tables/  { if (!pt || $3 < pt) pt = $3 }
 		END {
+			if (pd && pt) printf "pruned page filter (report): default %d ns/op, forced tables %d ns/op\n", pd, pt
 			if (!mn || !mk) { print "gate: missing benchmark output" > "/dev/stderr"; exit 1 }
 			ratio = mn / mk
 			printf "kernel vs naive filter speedup: %.2fx\n", ratio
