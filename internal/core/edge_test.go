@@ -107,22 +107,76 @@ func TestQueryOutsideDataSpace(t *testing.T) {
 	}
 }
 
-// TestLargePageBlocks: multi-block quantized pages.
+// TestLargePageBlocks: multi-block quantized pages. Plans are made in
+// page units and reads in blocks, so KNN, range and window answers must
+// match brute force at every page size.
 func TestLargePageBlocks(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	pts := randPoints(r, 4000, 8)
-	opt := DefaultOptions()
-	opt.QPageBlocks = 4
-	tr := buildTree(t, pts, opt)
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	checkKNN(t, tr, pts, randPoints(r, 6, 8), 3, vec.Euclidean)
-	// Larger pages hold more points: fewer pages than with 1-block pages.
 	small := buildTree(t, pts, DefaultOptions())
-	if tr.NumPages() >= small.NumPages() {
-		t.Fatalf("4-block pages (%d) should be fewer than 1-block pages (%d)",
-			tr.NumPages(), small.NumPages())
+	for _, blocks := range []int{2, 4} {
+		opt := DefaultOptions()
+		opt.QPageBlocks = blocks
+		tr := buildTree(t, pts, opt)
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		checkKNN(t, tr, pts, randPoints(r, 6, 8), 3, vec.Euclidean)
+		checkScans(t, tr, pts, r, 10)
+		// Larger pages hold more points: fewer pages than with 1-block pages.
+		if tr.NumPages() >= small.NumPages() {
+			t.Fatalf("%d-block pages (%d) should be fewer than 1-block pages (%d)",
+				blocks, tr.NumPages(), small.NumPages())
+		}
+	}
+}
+
+// checkScans runs n random range and window queries and compares each
+// answer, as a set of ids with exact distances, against brute force.
+func checkScans(t *testing.T, tr *Tree, pts []vec.Point, r *rand.Rand, n int) {
+	t.Helper()
+	dim := len(pts[0])
+	met := tr.Options().Metric
+	same := func(kind string, got []Neighbor, want map[uint32]float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d results, brute force %d", kind, len(got), len(want))
+		}
+		for _, nb := range got {
+			d, ok := want[nb.ID]
+			if !ok || nb.Dist != d || !pts[nb.ID].Equal(nb.Point) {
+				t.Fatalf("%s: unexpected result %+v", kind, nb)
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		q := randPoints(r, 1, dim)[0]
+		eps := 0.3 + 0.4*r.Float64()
+		want := map[uint32]float64{}
+		for id, p := range pts {
+			if d := met.Dist(q, p); d <= eps {
+				want[uint32(id)] = d
+			}
+		}
+		same("range", mustRange(t, tr, q, eps), want)
+
+		lo, hi := make(vec.Point, dim), make(vec.Point, dim)
+		for j := range lo {
+			a := r.Float32() * 0.5
+			lo[j], hi[j] = a, a+0.4+r.Float32()*0.1
+		}
+		w := vec.MBR{Lo: lo, Hi: hi}
+		want = map[uint32]float64{}
+		for id, p := range pts {
+			if w.Contains(p) {
+				want[uint32(id)] = 0
+			}
+		}
+		got, err := tr.WindowQuery(tr.sto.NewSession(), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("window", got, want)
 	}
 }
 
@@ -221,38 +275,6 @@ func TestFixedBitsAblation(t *testing.T) {
 			t.Fatalf("bits=%d: %v", bits, err)
 		}
 		checkKNN(t, tr, pts, randPoints(r, 4, 8), 2, vec.Euclidean)
-	}
-}
-
-// TestBufferLimitedRangeSearch: a capped read buffer must not change
-// results, only the fetch schedule.
-func TestBufferLimitedRangeSearch(t *testing.T) {
-	r := rand.New(rand.NewSource(10))
-	pts := randPoints(r, 3000, 5)
-	opt := DefaultOptions()
-	opt.MaxBufferBlocks = 2
-	capped := buildTree(t, pts, opt)
-	free := buildTree(t, pts, DefaultOptions())
-	q := randPoints(r, 1, 5)[0]
-	eps := 0.4
-
-	sCap := capped.sto.NewSession()
-	gotCap, err := capped.RangeSearch(sCap, q, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sFree := free.sto.NewSession()
-	gotFree, err := free.RangeSearch(sFree, q, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotCap) != len(gotFree) {
-		t.Fatalf("capped %d results vs %d", len(gotCap), len(gotFree))
-	}
-	// The capped variant cannot read longer runs than its buffer; with
-	// many candidate pages it needs at least as many read operations.
-	if sCap.Stats.Reads < sFree.Stats.Reads {
-		t.Fatalf("capped reads %d < uncapped %d", sCap.Stats.Reads, sFree.Stats.Reads)
 	}
 }
 

@@ -115,3 +115,40 @@ func TestIteratorVariants(t *testing.T) {
 		}
 	}
 }
+
+// TestIteratorDegradedReads: with checksums on and a quantized page
+// corrupted at rest, the iterator answers the damaged page from its
+// exact shadow and yields the same neighbor sequence as a clean twin.
+func TestIteratorDegradedReads(t *testing.T) {
+	const n, dim = 1500, 6
+	cleanSto, clean, _ := buildCheckedTree(t, 21, n, dim, DefaultOptions())
+	sto, tr, _ := buildCheckedTree(t, 21, n, dim, DefaultOptions())
+	comp := compressedPages(tr)
+	if len(comp) == 0 {
+		t.Fatal("no compressed pages")
+	}
+	flipQPageBit(t, sto, comp[len(comp)/2], tr.Options().QPageBlocks)
+
+	q := randPoints(rand.New(rand.NewSource(22)), 1, dim)[0]
+	want := clean.NewNNIterator(cleanSto.NewSession(), q)
+	got := tr.NewNNIterator(sto.NewSession(), q)
+	for i := 0; i < n; i++ {
+		w, ok := want.Next()
+		if !ok {
+			t.Fatalf("clean iterator dry at %d: %v", i, want.Err())
+		}
+		g, ok := got.Next()
+		if !ok {
+			t.Fatalf("iterator over the damaged tree stopped at %d: %v", i, got.Err())
+		}
+		if g.ID != w.ID || g.Dist != w.Dist {
+			t.Fatalf("rank %d: got (%d, %v), clean twin (%d, %v)", i, g.ID, g.Dist, w.ID, w.Dist)
+		}
+	}
+	if _, ok := got.Next(); ok || got.Err() != nil {
+		t.Fatalf("after the last point: ok=%v err=%v", ok, got.Err())
+	}
+	if len(tr.QuarantinedPages()) == 0 {
+		t.Fatal("the corrupt page was never read")
+	}
+}

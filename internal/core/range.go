@@ -8,7 +8,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/page"
-	"repro/internal/pagesched"
 	"repro/internal/quantize"
 	"repro/internal/store"
 	"repro/internal/vec"
@@ -17,7 +16,8 @@ import (
 // RangeSearch returns all points within distance eps of q (under the
 // tree's metric), ordered by increasing distance. Because the affected
 // pages are known in advance from the directory, the second level is
-// fetched with the optimal known-set schedule of paper Section 2 (Fig. 1).
+// fetched with the optimal known-set schedule of paper Section 2
+// (Fig. 1): the one page-access rule with every candidate page certain.
 // When the session's observer is a *Trace, plan events are recorded into
 // it (see KNN).
 func (t *Tree) RangeSearch(s *store.Session, q vec.Point, eps float64) ([]Neighbor, error) {
@@ -29,7 +29,6 @@ func (t *Tree) RangeSearch(s *store.Session, q vec.Point, eps float64) ([]Neighb
 func (t *Tree) RangeSearchTrace(s *store.Session, q vec.Point, eps float64, tr *Trace) ([]Neighbor, error) {
 	t.world.RLock()
 	defer t.world.RUnlock()
-	sn := t.load()
 	label := ""
 	if tr != nil {
 		label = fmt.Sprintf("range eps=%g", eps)
@@ -38,12 +37,7 @@ func (t *Tree) RangeSearchTrace(s *store.Session, q vec.Point, eps float64, tr *
 	defer detach()
 	sc := scratchFor(s)
 	sc.eps = epsFilter{q: q, eps: eps, met: t.opt.Metric}
-	res, err := t.scanCandidates(s, sn, tr, sc, &sc.eps)
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(res, func(i, j int) bool { return res[i].Dist < res[j].Dist })
-	return res, nil
+	return t.scan(s, tr, sc, &sc.eps, true)
 }
 
 // WindowQuery returns all points inside the query window w. Dist fields of
@@ -57,12 +51,22 @@ func (t *Tree) WindowQuery(s *store.Session, w vec.MBR) ([]Neighbor, error) {
 func (t *Tree) WindowQueryTrace(s *store.Session, w vec.MBR, tr *Trace) ([]Neighbor, error) {
 	t.world.RLock()
 	defer t.world.RUnlock()
-	sn := t.load()
 	detach := attachTrace(s, tr, t.sto.Config(), "window")
 	defer detach()
 	sc := scratchFor(s)
 	sc.win = windowFilter{w: w}
-	return t.scanCandidates(s, sn, tr, sc, &sc.win)
+	return t.scan(s, tr, sc, &sc.win, false)
+}
+
+// scan runs one range-style query through the synchronous driver. The
+// caller holds t.world read-locked.
+func (t *Tree) scan(s *store.Session, tr *Trace, sc *queryScratch, f scanFilter, sortByDist bool) ([]Neighbor, error) {
+	sn := t.load()
+	c := &scanCursor{t: t, s: s, sn: sn, tr: tr, sc: sc, f: f, sortByDist: sortByDist}
+	if err := t.drive(s, sn, tr, &sc.drv, c); err != nil {
+		return nil, err
+	}
+	return c.out, nil
 }
 
 // scanFilter is the query-specific part of a range-style scan. The two
@@ -149,10 +153,8 @@ func growHits(hits *[]bool, n int) []bool {
 // beginScan runs the level-1 directory scan of a range-style query
 // against the pinned snapshot: it selects the candidate pages via the
 // filter's pageHit, returning their sorted quantized-page positions
-// (aliasing sc.positions; sc.posEntry maps position → entry) and the
-// entries whose page is already quarantined and must be served from the
-// exact shadow. Shared between the share-nothing scan and the
-// scan-sharing cursor so both select identical page sets.
+// (sc.posEntry maps position → entry) and the entries whose page is
+// already quarantined and must be served from the exact shadow.
 func (t *Tree) beginScan(s *store.Session, sn *snapshot, sc *queryScratch, f scanFilter) (positions, degraded []int, err error) {
 	if sn.dirBlocks > 0 {
 		if _, err := s.Read(t.dirFile, 0, sn.dirBlocks); err != nil {
@@ -162,7 +164,6 @@ func (t *Tree) beginScan(s *store.Session, sn *snapshot, sc *queryScratch, f sca
 	s.ChargeApproxCPU(t.dirFile, t.dim, len(sn.entries))
 
 	sc.pts.Reset()
-	positions = sc.positions[:0]
 	clear(sc.posEntry)
 	for i, e := range sn.entries {
 		if sn.free[i] {
@@ -178,116 +179,8 @@ func (t *Tree) beginScan(s *store.Session, sn *snapshot, sc *queryScratch, f sca
 		positions = append(positions, int(e.QPos))
 		sc.posEntry[int(e.QPos)] = i
 	}
-	sc.positions = positions
 	sort.Ints(positions)
 	return positions, degraded, nil
-}
-
-// scanCandidates drives both range-style queries against the pinned
-// snapshot sn: select pages via the filter's pageHit, classify
-// approximations via pageHits, and refine candidates via exactHit (which
-// returns the result distance and whether the exact point qualifies).
-// Every qualifying point must be refined regardless of certainty, because
-// point ids live in the exact pages.
-func (t *Tree) scanCandidates(s *store.Session, sn *snapshot, tr *Trace, sc *queryScratch, f scanFilter) ([]Neighbor, error) {
-	positions, degraded, err := t.beginScan(s, sn, sc, f)
-	if err != nil {
-		return nil, err
-	}
-	posEntry := sc.posEntry
-	if len(positions) == 0 && len(degraded) == 0 {
-		return nil, nil
-	}
-
-	// Level 2: optimal known-set fetch (Fig. 1), optionally buffer-capped.
-	runs := pagesched.PlanKnownSet(positions, t.opt.QPageBlocks, t.sto.Config(), t.opt.MaxBufferBlocks)
-	pageBytes := t.qPageBytes()
-	var out []Neighbor
-	for _, run := range runs {
-		firstPage := run.Pos
-		nPages := run.Blocks / t.opt.QPageBlocks
-		buf, err := s.Read(t.qFile, run.Pos*t.opt.QPageBlocks, run.Blocks)
-		if err != nil {
-			if !t.corruptQPage(err) {
-				return nil, err
-			}
-			// Fresh corruption somewhere in the run: retry page by page
-			// so only the damaged pages pay the degraded path.
-			s.Recover()
-			out, err = t.rangeRunDegraded(s, sn, tr, sc, f, firstPage, nPages, out)
-			if err != nil {
-				return nil, err
-			}
-			continue
-		}
-		tr.AddPages(nPages)
-		pending := 0
-		for j := 0; j < nPages; j++ {
-			pos := firstPage + j
-			entry, wanted := posEntry[pos]
-			if !wanted {
-				tr.AddPruned(1) // gap page over-read because it was cheaper than a seek
-				continue
-			}
-			pending++
-			res, err := t.rangePage(s, sn, tr, sc, f, entry, buf[j*pageBytes:(j+1)*pageBytes], out)
-			if err != nil {
-				return nil, err
-			}
-			out = res
-		}
-		tr.AddBatch(obs.BatchDecision{
-			Pivot:   -1, // known-set run: no pivot
-			First:   firstPage,
-			Last:    firstPage + nPages - 1,
-			Pending: pending,
-		})
-	}
-	for _, entry := range degraded {
-		var err error
-		out, err = t.rangeDegraded(s, sn, tr, sc, f, entry, out)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// rangeRunDegraded replays one known-set run page by page after a bulk
-// read hit corruption: undamaged pages take the normal path, freshly
-// corrupt compressed pages are quarantined and answered from their
-// exact shadow, and a corrupt exact-mode page fails typed.
-func (t *Tree) rangeRunDegraded(s *store.Session, sn *snapshot, tr *Trace, sc *queryScratch, f scanFilter,
-	firstPage, nPages int, out []Neighbor) ([]Neighbor, error) {
-	pageBytes := t.qPageBytes()
-	for j := 0; j < nPages; j++ {
-		pos := firstPage + j
-		entry, wanted := sc.posEntry[pos]
-		if !wanted {
-			continue
-		}
-		buf, err := s.Read(t.qFile, pos*t.opt.QPageBlocks, t.opt.QPageBlocks)
-		if err != nil {
-			if !t.corruptQPage(err) {
-				return nil, err
-			}
-			s.Recover()
-			if int(sn.entries[entry].Bits) != quantize.ExactBits {
-				t.quarantinePage(pos)
-			}
-			out, err = t.rangeDegraded(s, sn, tr, sc, f, entry, out)
-			if err != nil {
-				return nil, err
-			}
-			continue
-		}
-		tr.AddPages(1)
-		out, err = t.rangePage(s, sn, tr, sc, f, entry, buf[:pageBytes], out)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // rangeDegraded answers one page of a range-style query entirely from
@@ -299,7 +192,7 @@ func (t *Tree) rangeDegraded(s *store.Session, sn *snapshot, tr *Trace, sc *quer
 	entry int, out []Neighbor) ([]Neighbor, error) {
 	e := sn.entries[entry]
 	if int(e.Bits) == quantize.ExactBits {
-		return nil, unrecoverablePage(int(e.QPos), entry, nil)
+		return nil, unrecoverablePage(int(e.QPos), entry)
 	}
 	entrySize := page.ExactEntrySize(t.dim)
 	raw, rel, err := s.ReadRange(t.eFile, int(e.EPos)*t.sto.Config().BlockSize, int(e.Count)*entrySize)
@@ -319,19 +212,6 @@ func (t *Tree) rangeDegraded(s *store.Session, sn *snapshot, tr *Trace, sc *quer
 	return out, nil
 }
 
-// rangePage processes one candidate page of a range-style query,
-// appending qualifying neighbors to out. Result points are copied out of
-// the scratch arenas before they escape.
-func (t *Tree) rangePage(s *store.Session, sn *snapshot, tr *Trace, sc *queryScratch, f scanFilter,
-	entry int, buf []byte, out []Neighbor) ([]Neighbor, error) {
-	qp := page.UnmarshalQPage(buf)
-	if qp.Bits == quantize.ExactBits {
-		return t.rangeExactQPage(s, sc, f, qp.Payload, qp.Count, out)
-	}
-	codes := sc.arena.Unpack(qp.Payload, qp.Count*t.dim, qp.Bits)
-	return t.rangePageCodes(s, sn, tr, sc, f, entry, qp.Count, codes, out)
-}
-
 // rangeExactQPage decides an exact-mode (32-bit) quantized page: every
 // point carries its full coordinates, so the filter's exact predicate
 // applies directly.
@@ -348,9 +228,7 @@ func (t *Tree) rangeExactQPage(s *store.Session, sc *queryScratch, f scanFilter,
 }
 
 // rangePageCodes filters one compressed page's bulk-unpacked codes and
-// refines the surviving candidates against the exact level. Split from
-// rangePage so the scan-sharing path can feed it codes decoded once per
-// shared page.
+// refines the surviving candidates against the exact level.
 func (t *Tree) rangePageCodes(s *store.Session, sn *snapshot, tr *Trace, sc *queryScratch, f scanFilter,
 	entry, count int, codes []uint32, out []Neighbor) ([]Neighbor, error) {
 	f.preparePage(sc, sn.grids[entry], count)

@@ -9,11 +9,12 @@ import (
 )
 
 // queryScratch is the per-session reusable state of the query paths:
-// kernel arenas, the k-NN search state, the range/window scan buffers,
-// and the access-probability scratch. It rides on the session's scratch
-// slot (surviving Session.Reset), so pooled sessions — the engine's
-// workers — reach a zero-allocation steady state on the KNN hot path.
-// Like the session itself, it is single-goroutine state.
+// kernel arenas, the k-NN search state and its cursor, the synchronous
+// driver, the range/window scan buffers, and the access-probability
+// scratch. It rides on the session's scratch slot (surviving
+// Session.Reset), so pooled sessions — the engine's workers — reach a
+// zero-allocation steady state on the KNN hot path. Like the session
+// itself, it is single-goroutine state.
 type queryScratch struct {
 	arena kernel.Arena      // codes + distance/window tables
 	pts   kernel.PointArena // decoded exact points (KNN refinement)
@@ -21,18 +22,16 @@ type queryScratch struct {
 
 	search nnSearch
 	sorter entrySorter
-	probFn func(int) float64 // st.accessProb, bound once
-	sched  pagesched.Scheduler
+	cur    knnCursor // the direct k-NN call's cursor over search
+	drv    driver
 
 	// Range/window scan state.
-	positions []int
-	posEntry  map[int]int
-	need      []int
-	eps       epsFilter
-	win       windowFilter
+	posEntry map[int]int
+	need     []int
+	eps      epsFilter
+	win      windowFilter
 
-	// Batch-kernel buffers (scan-sharing page filters and the batch
-	// range/window classifiers).
+	// Batch-kernel buffers of the range/window page classifiers.
 	bounds kernel.PageBounds
 	hits   []bool
 }
@@ -43,14 +42,19 @@ func scratchFor(s *store.Session) *queryScratch {
 	if sc, ok := s.Scratch().(*queryScratch); ok {
 		return sc
 	}
+	sc := newQueryScratch()
+	s.SetScratch(sc)
+	return sc
+}
+
+func newQueryScratch() *queryScratch {
 	sc := &queryScratch{
 		posEntry: make(map[int]int),
 	}
 	sc.search.sc = sc
 	sc.search.exactCache = make(map[int32]exactPage)
 	sc.search.exactSkip = make(map[int32]bool)
-	sc.probFn = sc.search.accessProb
-	s.SetScratch(sc)
+	sc.drv.feed.arena = &sc.arena
 	return sc
 }
 
@@ -61,6 +65,8 @@ func (sc *queryScratch) beginSearch(t *Tree, sn *snapshot, s *store.Session, q v
 	st.t, st.sn, st.s, st.q, st.k, st.tr = t, sn, s, q, k, tr
 	st.err = nil
 	st.ap = ap
+	st.incremental = false
+	st.confirmed = st.confirmed[:0]
 	st.fetched, st.apStopped, st.apStopRefine, st.apSkipped, st.apProb = 0, false, false, 0, 0
 	n := len(sn.entries)
 	st.minD = growF64(st.minD, n)

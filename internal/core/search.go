@@ -112,10 +112,11 @@ func (t *Tree) knn(s *store.Session, q vec.Point, k int, tr *Trace, ap index.App
 	if k <= 0 || sn.n == 0 {
 		return nil, s.Err()
 	}
-	st := scratchFor(s).beginSearch(t, sn, s, q, k, tr, ap)
-	st.run()
-	if st.err != nil {
-		return nil, st.err
+	sc := scratchFor(s)
+	st := sc.beginSearch(t, sn, s, q, k, tr, ap)
+	sc.cur = knnCursor{t: t, st: st, pending: -1}
+	if err := t.drive(s, sn, tr, &sc.drv, &sc.cur); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -176,6 +177,13 @@ type nnSearch struct {
 	res resHeap   // k best refined neighbors (max-heap on dist)
 	ub  []float64 // max-heap of the k smallest upper bounds seen
 
+	// Incremental ranking (NNIterator): no k bound, nothing is pruned, and
+	// every resolved neighbor enters confirmed (a min-heap on distance),
+	// from which the iterator emits it once nothing in the priority list
+	// can still be closer.
+	incremental bool
+	confirmed   []Neighbor
+
 	regionBuf []pagesched.Region
 
 	// exactCache holds decoded third-level pages, keyed by entry index.
@@ -209,28 +217,6 @@ func (st *nnSearch) bound() float64 {
 }
 
 func (st *nnSearch) prune() float64 { return math.Min(st.nnDist(), st.bound()) }
-
-// run drives the share-nothing search to completion: seed the priority
-// list, then alternately pick the next pending page and fetch it (with
-// the batched or single-page strategy). The scan-sharing cursor drives
-// the same start/advance state machine but suspends at the fetch
-// boundary instead, so both paths make identical page decisions.
-func (st *nnSearch) run() {
-	if !st.start() {
-		return
-	}
-	for st.err == nil {
-		entry, ok := st.advance()
-		if !ok {
-			break
-		}
-		if st.t.opt.OptimizedIO {
-			st.processBatch(entry)
-		} else {
-			st.processSingle(entry)
-		}
-	}
-}
 
 // start runs the level-1 directory scan and seeds the priority list
 // (paper Sec. 3.2). It reports whether the search can proceed; on false,
@@ -267,9 +253,13 @@ func (st *nnSearch) start() bool {
 // advance pops the priority list to the next unprocessed page entry,
 // refining point items inline on the way. ok=false means the search is
 // complete: either the list ran dry, nothing left can improve the
-// result, or a refinement failed (st.err).
+// result, or a refinement failed (st.err). An incremental search also
+// stops as soon as its closest confirmed neighbor can be emitted.
 func (st *nnSearch) advance() (entry int, ok bool) {
 	for len(st.heap) > 0 && st.err == nil {
+		if st.incremental && len(st.confirmed) > 0 && st.confirmed[0].Dist <= st.heap[0].dist {
+			break // the closest confirmed neighbor can be emitted
+		}
 		it := st.popItem()
 		if it.dist >= st.nnDist() {
 			break // nothing left can improve the result set
@@ -477,101 +467,6 @@ func (st *nnSearch) skipPage(entry int) {
 	metricApproxSkipped.Inc()
 }
 
-// processSingle loads exactly one quantized page with a random access
-// (the "standard NN-search" of Fig. 7). A quarantined or
-// corrupt-on-read page is answered from its exact shadow instead.
-func (st *nnSearch) processSingle(entry int) {
-	t := st.t
-	pos := int(st.sn.entries[entry].QPos)
-	if t.isQuarantined(pos) {
-		st.degradedExact(entry, nil)
-		return
-	}
-	buf, err := st.s.Read(t.qFile, pos*t.opt.QPageBlocks, t.opt.QPageBlocks)
-	if err != nil {
-		if !t.corruptQPage(err) {
-			st.err = err
-			return
-		}
-		st.s.Recover()
-		if int(st.sn.entries[entry].Bits) != quantize.ExactBits {
-			t.quarantinePage(pos)
-		}
-		st.degradedExact(entry, err)
-		return
-	}
-	st.fetched++
-	st.tr.AddPages(1)
-	st.tr.AddBatch(obs.BatchDecision{Pivot: pos, First: pos, Last: pos, Pending: 1})
-	st.processPage(entry, buf)
-}
-
-// processBatch runs the time-optimized strategy of Sec. 2.1: around the
-// pivot page it loads the contiguous page sequence whose cumulated cost
-// balance is favorable, then processes every still-pending page in it.
-func (st *nnSearch) processBatch(entry int) {
-	t := st.t
-	sn := st.sn
-	pivot := int(sn.entries[entry].QPos)
-	sched := &st.sc.sched
-	*sched = pagesched.Scheduler{
-		Cfg:        t.sto.Config(),
-		PageBlocks: t.opt.QPageBlocks,
-		NumPages:   len(sn.entryAt),
-		Prob:       st.sc.probFn,
-		Trace:      st.tr,
-	}
-	first, last := sched.Batch(pivot)
-	if t.anyQuarantinedIn(first, last) {
-		// Known damage inside the batch extent: a contiguous read would
-		// fail verification wholesale. Fetch the pending pages one by one
-		// instead; processSingle routes damaged ones to the exact level.
-		st.processRunDegraded(first, last)
-		return
-	}
-	buf, err := st.s.Read(t.qFile, first*t.opt.QPageBlocks, (last-first+1)*t.opt.QPageBlocks)
-	if err != nil {
-		if !t.corruptQPage(err) {
-			st.err = err
-			return
-		}
-		// Fresh corruption somewhere in the run: localize it by retrying
-		// each pending page individually.
-		st.s.Recover()
-		st.processRunDegraded(first, last)
-		return
-	}
-	st.fetched += last - first + 1
-	st.tr.AddPages(last - first + 1)
-	pageBytes := t.qPageBytes()
-	pending := 0
-	for pos := first; pos <= last; pos++ {
-		e := sn.entryIndex(pos)
-		if e < 0 || st.processed[e] || sn.free[e] {
-			st.tr.AddPruned(1)
-			continue
-		}
-		pending++
-		st.processPage(e, buf[(pos-first)*pageBytes:(pos-first+1)*pageBytes])
-	}
-	st.tr.NotePending(pending)
-}
-
-// processRunDegraded replaces one corrupt (or damage-spanning) batch
-// read with per-page random accesses — honest degraded cost — letting
-// processSingle quarantine the damaged pages and serve them exactly
-// from the third level.
-func (st *nnSearch) processRunDegraded(first, last int) {
-	sn := st.sn
-	for pos := first; pos <= last && st.err == nil; pos++ {
-		e := sn.entryIndex(pos)
-		if e < 0 || st.processed[e] || sn.free[e] {
-			continue
-		}
-		st.processSingle(e)
-	}
-}
-
 // degradedExact answers one page whose quantized representation is
 // unreadable from its exact (level-3) page: every point of the page is
 // resolved with an exact distance, which is strictly more information
@@ -579,12 +474,12 @@ func (st *nnSearch) processRunDegraded(first, last int) {
 // bit-identical to a clean run — only the cost degrades. Exact-mode
 // (32-bit) pages have no level-3 shadow; their corruption is a typed,
 // unrecoverable error.
-func (st *nnSearch) degradedExact(entry int, cause error) {
+func (st *nnSearch) degradedExact(entry int) {
 	t := st.t
 	e := st.sn.entries[entry]
 	st.processed[entry] = true
 	if int(e.Bits) == quantize.ExactBits {
-		st.err = unrecoverablePage(int(e.QPos), entry, cause)
+		st.err = unrecoverablePage(int(e.QPos), entry)
 		return
 	}
 	if st.minD[entry] >= st.prune() {
@@ -635,32 +530,6 @@ func (st *nnSearch) accessProb(pos int) float64 {
 		})
 	}
 	return st.sc.prob.AccessProbability(st.q, st.t.opt.Metric, r, st.regionBuf)
-}
-
-// processPage decodes one quantized page: exact (32-bit) pages yield final
-// distances directly; compressed pages yield per-point box approximations
-// that enter the priority list.
-//
-// This is the CPU hot loop of the filter step. The page's codes are
-// bulk-unpacked once, per-point bounds come from the kernel's per-query
-// lookup tables, and points whose bounds provably clear both the prune
-// radius and the current kth upper bound are abandoned mid-accumulation
-// (every decision is bit-identical to the naive Grid math; see
-// internal/kernel).
-func (st *nnSearch) processPage(entry int, buf []byte) {
-	t := st.t
-	st.processed[entry] = true
-	if st.minD[entry] >= st.prune() {
-		st.tr.AddPruned(1)
-		return // transferred as part of a batch but certainly irrelevant
-	}
-	qp := page.UnmarshalQPage(buf)
-	if qp.Bits == quantize.ExactBits {
-		st.processExact(qp.Payload, qp.Count)
-		return
-	}
-	codes := st.sc.arena.Unpack(qp.Payload, qp.Count*t.dim, qp.Bits)
-	st.processCodes(entry, qp.Count, codes)
 }
 
 // processExact consumes one exact-mode (32-bit) page: final distances,
@@ -717,42 +586,6 @@ func (st *nnSearch) processCodes(entry, count int, codes []uint32) {
 	st.tr.AddCandidates(cand)
 }
 
-// processCodesBatch is processCodes over the kernel's batch entry point:
-// all bounds are computed against the page-start thresholds in one call
-// (so a shared page decoded once serves many queries with cache-hot
-// codes), then admitted through the same live-threshold tests as the
-// scalar loop. Final search state is identical to processCodes — a
-// batch-computed point the scalar loop would have pruned fails the same
-// live candidate test and cannot move a full upper-bound heap (see
-// internal/kernel/multi.go).
-func (st *nnSearch) processCodesBatch(entry, count int, codes []uint32) {
-	t := st.t
-	met := t.opt.Metric
-	tb := st.sc.arena.Tables(st.sn.grids[entry], st.q, met, count)
-	st.s.ChargeApproxCPU(t.qFile, t.dim, count)
-	pb := &st.sc.bounds
-	prune := st.prune()
-	lbT := kernel.SqThreshold(met, prune)
-	ubT := kernel.SqThreshold(met, st.bound())
-	tb.BoundsBatch(codes, t.dim, count, lbT, ubT, pb)
-	cand := 0
-	for i := 0; i < count; i++ {
-		if pb.Pruned[i] {
-			continue
-		}
-		if st.pushUB(pb.Ub[i]) {
-			prune = st.prune()
-		}
-		if pb.Lb[i] < prune {
-			cand++
-			st.wSum[entry] += pb.Ub[i] - pb.Lb[i]
-			st.wCnt[entry]++
-			st.pushItem(pqItem{dist: pb.Lb[i], entry: int32(entry), pt: int32(i)})
-		}
-	}
-	st.tr.AddCandidates(cand)
-}
-
 // refine resolves one point approximation against the exact geometry: the
 // first refinement from a partition loads that partition's variable-size
 // exact page (one level-3 access); further candidates from the same
@@ -793,6 +626,10 @@ func (st *nnSearch) loadExact(entry int32) (exactPage, error) {
 }
 
 func (st *nnSearch) addResult(nb Neighbor) {
+	if st.incremental {
+		st.pushConfirmed(nb)
+		return
+	}
 	if nb.Dist >= st.nnDist() {
 		return
 	}
@@ -842,6 +679,9 @@ func (st *nnSearch) resultsInto(dst []Neighbor) []Neighbor {
 // reporting whether the heap changed (i.e. whether the kth-smallest
 // upper bound may have moved).
 func (st *nnSearch) pushUB(ub float64) bool {
+	if st.incremental {
+		return false // no k bound: nothing is ever pruned
+	}
 	if len(st.ub) == st.k {
 		if ub >= st.ub[0] {
 			return false
@@ -891,6 +731,45 @@ func (st *nnSearch) popItem() pqItem {
 			break
 		}
 		st.heap[i], st.heap[m] = st.heap[m], st.heap[i]
+		i = m
+	}
+	return top
+}
+
+func (st *nnSearch) pushConfirmed(nb Neighbor) {
+	st.confirmed = append(st.confirmed, nb)
+	a := st.confirmed
+	i := len(a) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if a[p].Dist <= a[i].Dist {
+			break
+		}
+		a[p], a[i] = a[i], a[p]
+		i = p
+	}
+}
+
+func (st *nnSearch) popConfirmed() Neighbor {
+	a := st.confirmed
+	top := a[0]
+	a[0] = a[len(a)-1]
+	st.confirmed = a[:len(a)-1]
+	a = st.confirmed
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		m := i
+		if l < len(a) && a[l].Dist < a[m].Dist {
+			m = l
+		}
+		if r < len(a) && a[r].Dist < a[m].Dist {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		a[i], a[m] = a[m], a[i]
 		i = m
 	}
 	return top

@@ -7,7 +7,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/kernel"
 	"repro/internal/obs"
-	"repro/internal/page"
 	"repro/internal/quantize"
 	"repro/internal/store"
 	"repro/internal/vec"
@@ -34,8 +33,10 @@ import (
 //     validation surfaces index.ErrStaleScan and the coordinator
 //     restarts the query on a fresh cursor.
 //
-// Result equivalence with the share-nothing paths is argued per cursor
-// below and pinned by the shared_test.go equivalence suite.
+// The same cursors serve direct calls through the synchronous driver
+// (driver.go), so a query makes the same page decisions alone or shared;
+// result equivalence under sharing is argued per cursor below and pinned
+// by the shared_test.go equivalence suite.
 
 var _ index.SharedScanner = (*Tree)(nil)
 var _ index.ApproxSharedScan = (*sharedScan)(nil)
@@ -44,12 +45,15 @@ var _ index.ApproxSharedScan = (*sharedScan)(nil)
 // owns the round-scoped decode scratch for shared pages, so it must be
 // confined to one coordinator goroutine.
 func (t *Tree) NewSharedScan() index.SharedScan {
-	return &sharedScan{t: t}
+	ss := &sharedScan{t: t}
+	ss.sink.feed = pageFeed{arena: &ss.arena, dim: t.dim}
+	return ss
 }
 
 type sharedScan struct {
 	t     *Tree
 	arena kernel.Arena // decode-once buffer for the current shared page
+	sink  roundSink
 }
 
 func (ss *sharedScan) Layout() index.SharedLayout {
@@ -74,7 +78,7 @@ func (ss *sharedScan) KNN(s *store.Session, q vec.Point, k int) index.Cursor {
 // zero (or MinRecall = 1) knob is bit-identical to KNN.
 func (ss *sharedScan) KNNApprox(s *store.Session, q vec.Point, k int, ap index.Approx) index.Cursor {
 	t := ss.t
-	c := &knnCursor{t: t, s: s, pending: -1}
+	c := &knnCursor{t: t, pending: -1}
 	t.world.RLock()
 	c.gen = t.reoptGen.Load()
 	sn := t.load()
@@ -92,31 +96,36 @@ func (ss *sharedScan) KNNApprox(s *store.Session, q vec.Point, k int, ap index.A
 
 // Range begins one resumable range query charged to s.
 func (ss *sharedScan) Range(s *store.Session, q vec.Point, eps float64) index.Cursor {
-	t := ss.t
 	sc := scratchFor(s)
-	sc.eps = epsFilter{q: q, eps: eps, met: t.opt.Metric}
+	sc.eps = epsFilter{q: q, eps: eps, met: ss.t.opt.Metric}
 	if tr := obs.TraceFrom(s.Observer()); tr != nil {
 		tr.SetLabel(fmt.Sprintf("range eps=%g", eps))
 	}
-	return newScanCursor(t, s, sc, &sc.eps, true)
+	return ss.newScan(s, sc, &sc.eps, true)
 }
 
 // Window begins one resumable window query charged to s.
 func (ss *sharedScan) Window(s *store.Session, w vec.MBR) index.Cursor {
-	t := ss.t
 	sc := scratchFor(s)
 	sc.win = windowFilter{w: w}
 	if tr := obs.TraceFrom(s.Observer()); tr != nil {
 		tr.SetLabel("window")
 	}
-	return newScanCursor(t, s, sc, &sc.win, false)
+	return ss.newScan(s, sc, &sc.win, false)
+}
+
+func (ss *sharedScan) newScan(s *store.Session, sc *queryScratch, f scanFilter, sortByDist bool) *scanCursor {
+	t := ss.t
+	t.world.RLock()
+	defer t.world.RUnlock()
+	return &scanCursor{t: t, s: s, sn: t.load(), tr: obs.TraceFrom(s.Observer()), sc: sc, f: f,
+		gen: t.reoptGen.Load(), sortByDist: sortByDist}
 }
 
 // FetchRun reads quantized pages [first, last] through the leader's
 // session, delivering each verified page (decoded at most once) and
 // reporting quarantined or corrupt positions. Damage downgrades the run
-// to wanted-only page-granular reads, mirroring the share-nothing
-// degraded paths.
+// to wanted-only page-granular reads (see fetchRun).
 func (ss *sharedScan) FetchRun(s *store.Session, gen uint64, first, last int, wanted func(pos int) bool,
 	deliver func(pg *index.SharedPage), degraded func(pos int)) error {
 	t := ss.t
@@ -125,96 +134,52 @@ func (ss *sharedScan) FetchRun(s *store.Session, gen uint64, first, last int, wa
 	if t.reoptGen.Load() != gen {
 		return index.ErrStaleScan
 	}
-	if t.anyQuarantinedIn(first, last) {
-		return ss.fetchPagewise(s, first, last, wanted, deliver, degraded)
-	}
-	buf, err := s.Read(t.qFile, first*t.opt.QPageBlocks, (last-first+1)*t.opt.QPageBlocks)
-	if err != nil {
-		if !t.corruptQPage(err) {
-			return err
-		}
-		// Fresh corruption somewhere in the run: localize it by retrying
-		// each wanted page individually.
-		s.Recover()
-		return ss.fetchPagewise(s, first, last, wanted, deliver, degraded)
-	}
-	pageBytes := t.qPageBytes()
-	for pos := first; pos <= last; pos++ {
-		ss.deliverPage(pos, buf[(pos-first)*pageBytes:(pos-first+1)*pageBytes], deliver)
-	}
-	return nil
+	ss.sink.wantedFn, ss.sink.deliverFn, ss.sink.degradedFn = wanted, deliver, degraded
+	return t.fetchRun(s, first, last, &ss.sink)
 }
 
-// fetchPagewise is the degraded fetch: only wanted positions are read,
-// one random access each, so no query pays for pages nobody needs.
-func (ss *sharedScan) fetchPagewise(s *store.Session, first, last int, wanted func(pos int) bool,
-	deliver func(pg *index.SharedPage), degraded func(pos int)) error {
-	t := ss.t
-	for pos := first; pos <= last; pos++ {
-		if !wanted(pos) {
-			continue
-		}
-		if t.isQuarantined(pos) {
-			degraded(pos)
-			continue
-		}
-		buf, err := s.Read(t.qFile, pos*t.opt.QPageBlocks, t.opt.QPageBlocks)
-		if err != nil {
-			if !t.corruptQPage(err) {
-				return err
-			}
-			s.Recover()
-			sn := t.load()
-			if e := sn.entryIndex(pos); e >= 0 && int(sn.entries[e].Bits) != quantize.ExactBits {
-				t.quarantinePage(pos)
-			}
-			degraded(pos)
-			continue
-		}
-		ss.deliverPage(pos, buf[:t.qPageBytes()], deliver)
-	}
-	return nil
+// roundSink adapts the coordinator's per-round callbacks to fetchRun.
+type roundSink struct {
+	feed       pageFeed
+	wantedFn   func(pos int) bool
+	deliverFn  func(pg *index.SharedPage)
+	degradedFn func(pos int)
 }
 
-// deliverPage wraps one page's raw bytes as a SharedPage whose Codes
-// closure bulk-decodes into the scan-owned buffer on first use.
-func (ss *sharedScan) deliverPage(pos int, buf []byte, deliver func(pg *index.SharedPage)) {
-	qp := page.UnmarshalQPage(buf)
-	sp := index.SharedPage{Pos: pos, Count: qp.Count, Bits: qp.Bits, Payload: qp.Payload}
-	if qp.Bits != quantize.ExactBits {
-		var codes []uint32
-		sp.Codes = func() []uint32 {
-			if codes == nil {
-				codes = ss.arena.Unpack(qp.Payload, qp.Count*ss.t.dim, qp.Bits)
-			}
-			return codes
-		}
-	}
-	deliver(&sp)
-}
+func (r *roundSink) wanted(pos int) bool      { return r.wantedFn(pos) }
+func (r *roundSink) page(pos int, buf []byte) { r.deliverFn(r.feed.set(pos, buf)) }
+func (r *roundSink) degraded(pos int)         { r.degradedFn(pos) }
 
-// knnCursor drives the nnSearch state machine one page fetch at a time.
-//
-// Equivalence with the share-nothing search: the cursor makes the same
-// page decisions as run() — start, then repeatedly advance to the next
-// unpruned pending page — but instead of fetching a batch itself it
-// reports the page as its want and suspends. Pages delivered early
-// (fetched for another query) only tighten the search's bounds sooner;
-// since processing a page is order-independent for the final result set
-// (candidates enter the same priority list, prune radii only shrink),
-// the returned neighbors are identical to the share-nothing run.
+// knnCursor drives the nnSearch state machine one page fetch at a time:
+// start, then repeatedly advance to the next unpruned pending page,
+// report it as the want and suspend. Pages delivered early (fetched for
+// another query, or over-read by the pivot's batch) only tighten the
+// search's bounds sooner; since processing a page is order-independent
+// for the final result set (candidates enter the same priority list,
+// prune radii only shrink), the returned neighbors do not depend on how
+// the pages were shared.
 type knnCursor struct {
 	t       *Tree
-	s       *store.Session
 	st      *nnSearch
 	gen     uint64
 	pending int32 // entry awaiting its page; -1 = none
 	started bool
 	done    bool
-	res     []Neighbor
 }
 
 func (c *knnCursor) Step() (bool, error) {
+	if !c.done && c.st.err == nil {
+		t := c.t
+		t.world.RLock()
+		defer t.world.RUnlock()
+		if t.reoptGen.Load() != c.gen {
+			return false, index.ErrStaleScan
+		}
+	}
+	return c.step()
+}
+
+func (c *knnCursor) step() (bool, error) {
 	if c.done {
 		return true, nil
 	}
@@ -222,12 +187,6 @@ func (c *knnCursor) Step() (bool, error) {
 	if st.err != nil {
 		c.done = true
 		return true, st.err
-	}
-	t := c.t
-	t.world.RLock()
-	defer t.world.RUnlock()
-	if t.reoptGen.Load() != c.gen {
-		return false, index.ErrStaleScan
 	}
 	if !c.started {
 		c.started = true
@@ -244,11 +203,7 @@ func (c *knnCursor) Step() (bool, error) {
 	entry, ok := st.advance()
 	if !ok {
 		c.done = true
-		if st.err != nil {
-			return true, st.err
-		}
-		c.res = st.results()
-		return true, nil
+		return true, st.err
 	}
 	c.pending = int32(entry)
 	return false, nil
@@ -261,8 +216,12 @@ func (c *knnCursor) Wants(buf []int) []int {
 	return append(buf, int(c.st.sn.entries[c.pending].QPos))
 }
 
+// AccessProb is the page-access estimate of Sec. 2.2 that steers the
+// batch around each pivot. Without OptimizedIO it is 0 everywhere, so
+// every plan is the pivot page alone: one random access per page, the
+// "standard NN-search" of Fig. 7.
 func (c *knnCursor) AccessProb(pos int) float64 {
-	if c.done || !c.started || c.st.err != nil {
+	if !c.t.opt.OptimizedIO || c.done || !c.started || c.st.err != nil {
 		return 0
 	}
 	return c.st.accessProb(pos)
@@ -276,17 +235,19 @@ func (c *knnCursor) Deliver(pg *index.SharedPage, shared bool) bool {
 	e := st.sn.entryIndex(pg.Pos)
 	relevant := e >= 0 && !st.sn.free[e] && !st.processed[e]
 	if !shared {
-		// Leader accounting matches the share-nothing batch loop: every
-		// transferred page is counted, irrelevant ones as pruned — and
-		// every transferred page consumes the approximate-mode fetch
-		// budget, exactly like the batch loop's over-reads.
+		// The leader accounts the transfer: every page counts as read and
+		// consumes the approximate-mode fetch budget; a page this query
+		// no longer needs counts as pruned, one it still needed as
+		// pending in the batch.
 		st.fetched++
 		st.tr.AddPages(1)
-	}
-	if !relevant {
-		if !shared {
+		if relevant {
+			st.tr.AddPending(1)
+		} else {
 			st.tr.AddPruned(1)
 		}
+	}
+	if !relevant {
 		return false
 	}
 	st.processed[e] = true
@@ -306,7 +267,7 @@ func (c *knnCursor) Deliver(pg *index.SharedPage, shared bool) bool {
 		st.processExact(pg.Payload, pg.Count)
 		return true
 	}
-	st.processCodesBatch(e, pg.Count, pg.Codes())
+	st.processCodes(e, pg.Count, pg.Codes())
 	return true
 }
 
@@ -315,34 +276,37 @@ func (c *knnCursor) DeliverDegraded(pos int) bool {
 	if c.done || !c.started || st.err != nil || c.pending < 0 {
 		return false
 	}
-	// Only the actively wanted page may go degraded here: share-nothing
-	// search never touches the exact shadow of pages it still might
-	// prune, and an exact-mode page it would never fetch must not fail
-	// the query.
+	// Only the actively wanted page may go degraded here: the search
+	// never touches the exact shadow of pages it still might prune, and
+	// an exact-mode page it would never fetch must not fail the query.
 	e := st.sn.entryIndex(pos)
 	if e < 0 || int32(e) != c.pending || st.processed[e] {
 		return false
 	}
-	st.degradedExact(e, nil)
+	st.degradedExact(e)
 	return true
 }
 
+// Results pops the search's result heap; call it once, after Step
+// reported done.
 func (c *knnCursor) Results() ([]vec.Neighbor, error) {
-	if c.st != nil && c.st.err != nil {
+	if c.st == nil {
+		return nil, nil
+	}
+	if c.st.err != nil {
 		return nil, c.st.err
 	}
-	return c.res, nil
+	return c.st.results(), nil
 }
 
 func (c *knnCursor) Close() {}
 
 // scanCursor drives range and window queries: one directory scan selects
-// every candidate page up front (beginScan, identical to the
-// share-nothing path), all of them are wanted at once, and each
-// delivered page appends its qualifying points. Deliveries arrive in
-// ascending position order within a round — the plan's spans are
-// disjoint and ascending — so a clean scan produces results in the same
-// order as the share-nothing known-set schedule; degraded entries are
+// every candidate page up front (beginScan), all of them are wanted at
+// once at access probability 1, and each delivered page appends its
+// qualifying points. Deliveries arrive in ascending position order
+// within a round — the plan's spans are disjoint and ascending — so a
+// clean scan produces results in position order; degraded entries are
 // served from their exact shadow at the end, and range results are
 // sorted by distance on completion either way.
 type scanCursor struct {
@@ -358,32 +322,29 @@ type scanCursor struct {
 	started   bool
 	done      bool
 	err       error
-	pending   []int // candidate positions, ascending (aliases sc.positions)
+	pending   []int // candidate positions, ascending
 	delivered map[int]struct{}
 	degraded  []int // entries to serve from the exact shadow on finish
 	out       []Neighbor
 }
 
-func newScanCursor(t *Tree, s *store.Session, sc *queryScratch, f scanFilter, sortByDist bool) *scanCursor {
-	c := &scanCursor{t: t, s: s, sc: sc, f: f, sortByDist: sortByDist}
-	t.world.RLock()
-	c.gen = t.reoptGen.Load()
-	c.sn = t.load()
-	c.tr = obs.TraceFrom(s.Observer())
-	t.world.RUnlock()
-	return c
+func (c *scanCursor) Step() (bool, error) {
+	if !c.done && c.err == nil {
+		t := c.t
+		t.world.RLock()
+		defer t.world.RUnlock()
+		if t.reoptGen.Load() != c.gen {
+			return false, index.ErrStaleScan
+		}
+	}
+	return c.step()
 }
 
-func (c *scanCursor) Step() (bool, error) {
+func (c *scanCursor) step() (bool, error) {
 	if c.done || c.err != nil {
 		return true, c.err
 	}
 	t := c.t
-	t.world.RLock()
-	defer t.world.RUnlock()
-	if t.reoptGen.Load() != c.gen {
-		return false, index.ErrStaleScan
-	}
 	if !c.started {
 		c.started = true
 		positions, degraded, err := t.beginScan(c.s, c.sn, c.sc, c.f)
@@ -458,6 +419,7 @@ func (c *scanCursor) Deliver(pg *index.SharedPage, shared bool) bool {
 			c.tr.AddPruned(1) // over-read gap page (cheaper than a seek)
 			return false
 		}
+		c.tr.AddPending(1)
 	} else if !wanted {
 		return false
 	}

@@ -104,7 +104,7 @@ func driveShared(t *testing.T, tr *Tree, sessions []*store.Session,
 				return 1 - miss
 			},
 		}
-		for _, span := range sched.BatchAll(wants) {
+		for _, span := range sched.BatchAll(nil, wants) {
 			var leader int = -1
 			for i := sort.SearchInts(wants, span.First); i < len(wants) && wants[i] <= span.Last; i++ {
 				if o := owner[wants[i]]; !done[o] {
@@ -210,7 +210,7 @@ func directCase(t *testing.T, tr *Tree, c sharedCase, s *store.Session) []Neighb
 // TestSharedCursorsMatchShareNothing is the core equivalence contract:
 // a mixed batch of KNN, range and window queries executed concurrently
 // through the scan-sharing round protocol returns bit-identical results
-// to share-nothing single-session execution.
+// to direct single-session execution.
 func TestSharedCursorsMatchShareNothing(t *testing.T) {
 	for _, cfg := range []struct {
 		name string
@@ -262,32 +262,45 @@ func TestSharedCursorsMatchShareNothing(t *testing.T) {
 
 // TestSharedSingleQueryDegeneratesToShareNothing pins the degeneracy
 // property end to end at the cost level: with exactly one query in
-// flight, the shared pipeline issues the same simulated reads as the
-// share-nothing path — same blocks, same seeks, same simulated time.
+// flight, the shared pipeline issues the same simulated reads as a
+// direct call — same blocks, same seeks, same simulated time — under
+// every plan policy, including the one-page-per-access ablation.
 func TestSharedSingleQueryDegeneratesToShareNothing(t *testing.T) {
-	r := rand.New(rand.NewSource(33))
-	pts := randPoints(r, 3000, 8)
-	sto := store.NewSim(store.DefaultConfig())
-	opt := DefaultOptions()
-	opt.FractalDim = 4
-	tr, err := Build(sto, pts, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range mixedCases(r, 9, 8) {
-		shared := sto.NewSession()
-		_, errs := driveShared(t, tr, []*store.Session{shared},
-			func(scan index.SharedScan, _ int, s *store.Session) index.Cursor {
-				return newSharedCursor(scan, c, s)
-			})
-		if errs[0] != nil {
-			t.Fatalf("case %d: %v", i, errs[0])
-		}
-		direct := sto.NewSession()
-		directCase(t, tr, c, direct)
-		if shared.Stats != direct.Stats {
-			t.Fatalf("case %d (%s): shared stats %+v, direct %+v", i, c.kind, shared.Stats, direct.Stats)
-		}
+	for _, cfg := range []struct {
+		name string
+		mut  func(*Options)
+	}{
+		{"optimized", func(o *Options) {}},
+		{"single-page-io", func(o *Options) { o.OptimizedIO = false }},
+		{"fixed8", func(o *Options) { o.FixedBits = 8 }},
+	} {
+		t.Run(cfg.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(33))
+			pts := randPoints(r, 3000, 8)
+			sto := store.NewSim(store.DefaultConfig())
+			opt := DefaultOptions()
+			opt.FractalDim = 4
+			cfg.mut(&opt)
+			tr, err := Build(sto, pts, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range mixedCases(r, 9, 8) {
+				shared := sto.NewSession()
+				_, errs := driveShared(t, tr, []*store.Session{shared},
+					func(scan index.SharedScan, _ int, s *store.Session) index.Cursor {
+						return newSharedCursor(scan, c, s)
+					})
+				if errs[0] != nil {
+					t.Fatalf("case %d: %v", i, errs[0])
+				}
+				direct := sto.NewSession()
+				directCase(t, tr, c, direct)
+				if shared.Stats != direct.Stats {
+					t.Fatalf("case %d (%s): shared stats %+v, direct %+v", i, c.kind, shared.Stats, direct.Stats)
+				}
+			}
+		})
 	}
 }
 

@@ -319,7 +319,7 @@ func (e *Engine) round(active []*sharedQuery) []*sharedQuery {
 			return 1 - miss
 		},
 	}
-	spans := sched.BatchAll(wants)
+	spans := sched.BatchAll(nil, wants)
 
 	wantedFn := func(pos int) bool { _, ok := owner[pos]; return ok }
 	for _, span := range spans {

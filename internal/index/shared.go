@@ -99,9 +99,9 @@ type SharedScan interface {
 	// (the leader's session — it is charged for the whole run), invoking
 	// page for each verified page and degraded for each quarantined or
 	// corrupt one. When known or discovered damage forces page-granular
-	// reads, only positions with wanted(pos)==true are fetched (matching
-	// the share-nothing degraded paths, which never pay for pages no
-	// query needs). Returns ErrStaleScan when gen no longer matches.
+	// reads, only positions with wanted(pos)==true are fetched, so no
+	// session pays for pages no query needs. Returns ErrStaleScan when
+	// gen no longer matches.
 	FetchRun(s *store.Session, gen uint64, first, last int, wanted func(pos int) bool,
 		page func(pg *SharedPage), degraded func(pos int)) error
 }
@@ -116,8 +116,8 @@ type SharedScanner interface {
 
 // ApproxSharedScan is implemented by shared scans whose KNN cursors can
 // execute under an Approx knob: the cursor stops wanting pages once the
-// knob's termination rule fires, exactly like the share-nothing
-// KNNApprox path. Coordinators fall back to the exact KNN cursor for
+// knob's termination rule fires, exactly like a direct KNNApprox
+// call. Coordinators fall back to the exact KNN cursor for
 // scans without it.
 type ApproxSharedScan interface {
 	SharedScan

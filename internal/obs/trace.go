@@ -32,7 +32,7 @@ func (l *LevelTrace) Time(seek, xfer float64) float64 {
 // BatchDecision records one scheduler decision: the contiguous page run
 // [First, Last] loaded around Pivot (Pivot < 0 for known-set runs of
 // range-style queries, where no pivot exists). Pending counts the pages
-// of the run that were still needed when it was scheduled; the rest were
+// of the run the query still needed when they arrived; the rest were
 // over-read because transferring them was cheaper than seeking past.
 type BatchDecision struct {
 	Pivot   int
@@ -206,14 +206,15 @@ func (t *QueryTrace) AddBatch(b BatchDecision) {
 	t.Batches = append(t.Batches, b)
 }
 
-// NotePending sets the Pending count of the most recent batch (the
-// scheduler records the extent, the search knows how many pages of it
-// were still needed). Nil-safe; a no-op when no batch was recorded.
-func (t *QueryTrace) NotePending(pending int) {
+// AddPending counts n pages of the most recent batch as still needed
+// when they arrived (the driver records the extent, the query knows
+// which of its pages it still needed). Nil-safe; a no-op when no batch
+// was recorded.
+func (t *QueryTrace) AddPending(n int) {
 	if t == nil || len(t.Batches) == 0 {
 		return
 	}
-	t.Batches[len(t.Batches)-1].Pending = pending
+	t.Batches[len(t.Batches)-1].Pending += n
 }
 
 // AddPages counts n quantized pages as transferred. Nil-safe.

@@ -46,7 +46,7 @@ func TestBatchAllProperties(t *testing.T) {
 			}
 		}
 
-		spans := s.BatchAll(wants)
+		spans := s.BatchAll(nil, wants)
 		for i, sp := range spans {
 			if sp.First < 0 || sp.Last >= numPages || sp.First > sp.Last {
 				t.Fatalf("trial %d: span %d out of range: %+v (numPages=%d)", trial, i, sp, numPages)
@@ -99,7 +99,7 @@ func TestBatchAllSingleWantDegeneratesToBatch(t *testing.T) {
 		}
 		pivot := rng.Intn(numPages)
 		first, last := s.Batch(pivot)
-		spans := s.BatchAll([]int{pivot})
+		spans := s.BatchAll(nil, []int{pivot})
 		if len(spans) != 1 || spans[0].First != first || spans[0].Last != last {
 			t.Fatalf("trial %d: BatchAll(%d) = %+v, Batch = [%d,%d]", trial, pivot, spans, first, last)
 		}

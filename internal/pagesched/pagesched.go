@@ -1,74 +1,30 @@
-// Package pagesched implements the time-based page access strategies of
+// Package pagesched implements the time-based page access strategy of
 // paper Section 2:
 //
-//   - PlanKnownSet: the optimal fetch schedule for a page set known in
-//     advance (range queries, Fig. 1) — over-read a gap whenever the
-//     transfer of the skipped blocks is cheaper than a seek.
 //   - Scheduler.Batch: the cumulated-cost-balance batching of the
 //     time-optimized nearest-neighbor algorithm (Sec. 2.1) — starting from
 //     the pivot page, extend the read sequence forward and backward while
 //     the expected savings of over-reading probable pages outweigh the
 //     transfer cost.
+//   - Scheduler.BatchAll: the same rule anchored at every wanted page of a
+//     round. With every wanted page at probability 1 and every other page
+//     at 0 it is the optimal fetch schedule for a page set known in
+//     advance (range queries, Fig. 1): a gap is over-read whenever its
+//     transfer is cheaper than a seek.
 //   - AccessProbability: the probability that a page must be loaded later
 //     in a nearest-neighbor search (Sec. 2.2, Eq. 2–5).
 package pagesched
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/mathx"
-	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/vec"
 )
-
-// Run is one contiguous read of Blocks blocks starting at block Pos.
-type Run struct {
-	Pos    int
-	Blocks int
-}
-
-// PlanKnownSet plans the reads for pages whose starting block positions
-// are known in advance and sorted ascending; every page spans pageBlocks
-// blocks. Whenever the gap between two consecutive pages costs less to
-// transfer than a seek, the gap is read through (paper Section 2). If
-// maxBufferBlocks is positive, no run exceeds that many blocks (the
-// buffer-limited variant of Seeger et al. [19]).
-func PlanKnownSet(positions []int, pageBlocks int, cfg store.Config, maxBufferBlocks int) []Run {
-	if len(positions) == 0 {
-		return nil
-	}
-	var runs []Run
-	cur := Run{Pos: positions[0], Blocks: pageBlocks}
-	for _, p := range positions[1:] {
-		gap := p - (cur.Pos + cur.Blocks)
-		if gap < 0 {
-			gap = 0 // overlapping/duplicate positions collapse
-		}
-		extended := cur.Blocks + gap + pageBlocks
-		fits := maxBufferBlocks <= 0 || extended <= maxBufferBlocks
-		if float64(gap)*cfg.Xfer < cfg.Seek && fits {
-			if p+pageBlocks > cur.Pos+cur.Blocks {
-				cur.Blocks = p + pageBlocks - cur.Pos
-			}
-		} else {
-			runs = append(runs, cur)
-			cur = Run{Pos: p, Blocks: pageBlocks}
-		}
-	}
-	return append(runs, cur)
-}
-
-// PlanCost returns the simulated time of executing the given runs:
-// one seek per run plus the transfer of all blocks.
-func PlanCost(runs []Run, cfg store.Config) float64 {
-	var t float64
-	for _, r := range runs {
-		t += cfg.Seek + float64(r.Blocks)*cfg.Xfer
-	}
-	return t
-}
 
 // Region describes a page region competing in a nearest-neighbor priority
 // list, for access-probability estimation.
@@ -276,10 +232,6 @@ type Scheduler struct {
 	// Prob returns the access probability of the page at position pos;
 	// it must return 0 for pages already processed or pruned.
 	Prob func(pos int) float64
-	// Trace, when non-nil, records each Batch decision (pivot and
-	// committed extent); the caller fills in the pending count once it
-	// knows how many pages of the batch were still needed.
-	Trace *obs.QueryTrace
 }
 
 // Batch returns the page positions [first, last] to load together with the
@@ -319,7 +271,6 @@ func (s *Scheduler) Batch(pivot int) (first, last int) {
 			break
 		}
 	}
-	s.Trace.AddBatch(obs.BatchDecision{Pivot: pivot, First: first, Last: last})
 	return first, last
 }
 
@@ -335,26 +286,27 @@ func (p PageSpan) Pages() int { return p.Last - p.First + 1 }
 // Contains reports whether page position pos lies inside the span.
 func (p PageSpan) Contains(pos int) bool { return pos >= p.First && pos <= p.Last }
 
-// BatchAll plans one scan-sharing round: wants holds every page position
-// some in-flight query needs next (duplicates allowed, any order), and
-// the scheduler's Prob must already combine the access probabilities of
-// all those queries (1 − Π(1 − p_q)). Each uncovered want anchors one
-// cumulated-cost-balance extension — the same Batch logic that plans one
-// query's pivot, stretched across queries — and overlapping or adjacent
-// extents are merged, so the returned spans are disjoint, ascending, and
-// cover every want: no block is fetched twice within a round. With a
-// single want the plan is exactly [Batch(want)], so one query in flight
-// degenerates to the share-nothing schedule.
-func (s *Scheduler) BatchAll(wants []int) []PageSpan {
+// BatchAll plans one round: wants holds every page position some query
+// needs next (duplicates allowed, any order; sorted in place), and the
+// scheduler's Prob must already combine the access probabilities of all
+// the queries in the round (1 − Π(1 − p_q)). Each uncovered want anchors
+// one cumulated-cost-balance extension — the same Batch logic that plans
+// one query's pivot, stretched across queries — and overlapping or
+// adjacent extents are merged, so the returned spans are disjoint,
+// ascending, and cover every want: no block is fetched twice within a
+// round. The plan is appended to dst[:0], so a caller reusing dst plans
+// without allocating. With a single want the plan is exactly
+// [Batch(want)]; with Prob 1 on the wanted pages and 0 elsewhere it is
+// the known-set schedule of Fig. 1.
+func (s *Scheduler) BatchAll(dst []PageSpan, wants []int) []PageSpan {
+	exts := dst[:0]
 	if len(wants) == 0 {
-		return nil
+		return exts
 	}
-	sorted := append([]int(nil), wants...)
-	sort.Ints(sorted)
-	var exts []PageSpan
+	sort.Ints(wants)
 	covered := -1 // highest page already covered by an earlier extent
-	for i, p := range sorted {
-		if p <= covered || (i > 0 && p == sorted[i-1]) {
+	for i, p := range wants {
+		if p <= covered || (i > 0 && p == wants[i-1]) {
 			continue
 		}
 		first, last := s.Batch(p)
@@ -366,7 +318,7 @@ func (s *Scheduler) BatchAll(wants []int) []PageSpan {
 	// Backward extension can dip below an earlier extent; merge anything
 	// overlapping or adjacent (an adjacent merge is cost-neutral — the
 	// second read would have continued seek-free from the first).
-	sort.Slice(exts, func(i, j int) bool { return exts[i].First < exts[j].First })
+	slices.SortFunc(exts, func(a, b PageSpan) int { return cmp.Compare(a.First, b.First) })
 	merged := exts[:1]
 	for _, e := range exts[1:] {
 		top := &merged[len(merged)-1]

@@ -16,12 +16,56 @@ func testCfg() store.Config {
 	return store.Config{BlockSize: 4096, Seek: 0.01, Xfer: 0.001}
 }
 
+// run is one contiguous read of blocks blocks starting at block pos.
+type run struct {
+	pos    int
+	blocks int
+}
+
+// planKnownSet is the reference known-set schedule of Fig. 1, kept as the
+// oracle BatchAll is checked against: for pages whose starting block
+// positions are known in advance and sorted ascending (every page spans
+// pageBlocks blocks), read through the gap between two consecutive pages
+// whenever its transfer costs less than a seek.
+func planKnownSet(positions []int, pageBlocks int, cfg store.Config) []run {
+	if len(positions) == 0 {
+		return nil
+	}
+	var runs []run
+	cur := run{pos: positions[0], blocks: pageBlocks}
+	for _, p := range positions[1:] {
+		gap := p - (cur.pos + cur.blocks)
+		if gap < 0 {
+			gap = 0 // overlapping/duplicate positions collapse
+		}
+		if float64(gap)*cfg.Xfer < cfg.Seek {
+			if p+pageBlocks > cur.pos+cur.blocks {
+				cur.blocks = p + pageBlocks - cur.pos
+			}
+		} else {
+			runs = append(runs, cur)
+			cur = run{pos: p, blocks: pageBlocks}
+		}
+	}
+	return append(runs, cur)
+}
+
+// planCost returns the simulated time of executing the given runs: one
+// seek per run plus the transfer of all blocks.
+func planCost(runs []run, cfg store.Config) float64 {
+	var t float64
+	for _, r := range runs {
+		t += cfg.Seek + float64(r.blocks)*cfg.Xfer
+	}
+	return t
+}
+
 func TestPlanKnownSetSinglePage(t *testing.T) {
-	runs := PlanKnownSet([]int{5}, 2, testCfg(), 0)
-	if len(runs) != 1 || runs[0].Pos != 5 || runs[0].Blocks != 2 {
+	runs := planKnownSet([]int{5}, 2, testCfg())
+	if len(runs) != 1 || runs[0].pos != 5 || runs[0].blocks != 2 {
 		t.Fatalf("runs = %+v", runs)
 	}
-	if PlanKnownSet(nil, 1, testCfg(), 0) != nil {
+	if planKnownSet(nil, 1, testCfg()) != nil {
 		t.Fatal("empty input should give no runs")
 	}
 }
@@ -29,32 +73,68 @@ func TestPlanKnownSetSinglePage(t *testing.T) {
 func TestPlanKnownSetOverreadVsSeek(t *testing.T) {
 	cfg := testCfg() // over-read gaps < 10 blocks
 	// Pages at 0 and 5 (gap 4): read through.
-	runs := PlanKnownSet([]int{0, 5}, 1, cfg, 0)
-	if len(runs) != 1 || runs[0].Blocks != 6 {
+	runs := planKnownSet([]int{0, 5}, 1, cfg)
+	if len(runs) != 1 || runs[0].blocks != 6 {
 		t.Fatalf("small gap: %+v", runs)
 	}
 	// Pages at 0 and 50 (gap 49): seek.
-	runs = PlanKnownSet([]int{0, 50}, 1, cfg, 0)
+	runs = planKnownSet([]int{0, 50}, 1, cfg)
 	if len(runs) != 2 {
 		t.Fatalf("large gap: %+v", runs)
 	}
 	// Adjacent and duplicate pages collapse.
-	runs = PlanKnownSet([]int{0, 0, 1, 2}, 1, cfg, 0)
-	if len(runs) != 1 || runs[0].Blocks != 3 {
+	runs = planKnownSet([]int{0, 0, 1, 2}, 1, cfg)
+	if len(runs) != 1 || runs[0].blocks != 3 {
 		t.Fatalf("adjacent: %+v", runs)
 	}
 }
 
-func TestPlanKnownSetBufferLimit(t *testing.T) {
-	cfg := testCfg()
-	// Without a limit this would be one run of 8 blocks.
-	runs := PlanKnownSet([]int{0, 3, 6}, 2, cfg, 5)
-	if len(runs) < 2 {
-		t.Fatalf("buffer limit ignored: %+v", runs)
-	}
-	for _, r := range runs {
-		if r.Blocks > 5 {
-			t.Fatalf("run exceeds buffer: %+v", r)
+// TestBatchAllKnownSetMatchesPlan pins the known-set schedule of Fig. 1
+// to the one page-access rule: on the default disk, BatchAll with access
+// probability 1 on the wanted pages and 0 everywhere else yields exactly
+// the runs of the reference known-set plan, for any page size.
+func TestBatchAllKnownSetMatchesPlan(t *testing.T) {
+	cfg := store.DefaultConfig()
+	r := rand.New(rand.NewSource(4))
+	var spans []PageSpan
+	for trial := 0; trial < 20000; trial++ {
+		pageBlocks := 1 + r.Intn(4)
+		numPages := 1 + r.Intn(300)
+		want := make([]bool, numPages)
+		var pages []int
+		for i := 0; i < 1+r.Intn(40); i++ {
+			p := r.Intn(numPages)
+			if !want[p] {
+				want[p] = true
+				pages = append(pages, p)
+			}
+		}
+		s := &Scheduler{
+			Cfg:        cfg,
+			PageBlocks: pageBlocks,
+			NumPages:   numPages,
+			Prob: func(pos int) float64 {
+				if want[pos] {
+					return 1
+				}
+				return 0
+			},
+		}
+		spans = s.BatchAll(spans, pages)
+		blocks := make([]int, len(pages))
+		for i, p := range pages { // sorted by BatchAll
+			blocks[i] = p * pageBlocks
+		}
+		runs := planKnownSet(blocks, pageBlocks, cfg)
+		if len(runs) != len(spans) {
+			t.Fatalf("trial %d: %d spans %+v, plan %d runs %+v (pages %v, pageBlocks %d)",
+				trial, len(spans), spans, len(runs), runs, pages, pageBlocks)
+		}
+		for i, run := range runs {
+			sp := spans[i]
+			if sp.First*pageBlocks != run.pos || sp.Pages()*pageBlocks != run.blocks {
+				t.Fatalf("trial %d: span %+v, run %+v (pageBlocks %d)", trial, sp, run, pageBlocks)
+			}
 		}
 	}
 }
@@ -77,12 +157,12 @@ func TestPlanKnownSetOptimalityBounds(t *testing.T) {
 		}
 		sort.Ints(positions)
 		pageBlocks := 1 + r.Intn(3)
-		runs := PlanKnownSet(positions, pageBlocks, cfg, 0)
+		runs := planKnownSet(positions, pageBlocks, cfg)
 
 		// Coverage and ordering.
 		covered := func(p int) bool {
 			for _, run := range runs {
-				if p >= run.Pos && p+pageBlocks <= run.Pos+run.Blocks {
+				if p >= run.pos && p+pageBlocks <= run.pos+run.blocks {
 					return true
 				}
 			}
@@ -94,12 +174,12 @@ func TestPlanKnownSetOptimalityBounds(t *testing.T) {
 			}
 		}
 		for i := 1; i < len(runs); i++ {
-			if runs[i].Pos < runs[i-1].Pos+runs[i-1].Blocks {
+			if runs[i].pos < runs[i-1].pos+runs[i-1].blocks {
 				t.Fatalf("runs overlap or unordered: %+v", runs)
 			}
 		}
 
-		cost := PlanCost(runs, cfg)
+		cost := planCost(runs, cfg)
 		allSeeks := float64(n) * (cfg.Seek + float64(pageBlocks)*cfg.Xfer)
 		span := positions[len(positions)-1] + pageBlocks - positions[0]
 		fullScan := cfg.Seek + float64(span)*cfg.Xfer
@@ -129,7 +209,7 @@ func TestPlanKnownSetMatchesExhaustiveOptimum(t *testing.T) {
 		}
 		sort.Ints(positions)
 
-		got := PlanCost(PlanKnownSet(positions, 1, cfg, 0), cfg)
+		got := planCost(planKnownSet(positions, 1, cfg), cfg)
 
 		// Exhaustive: each of the n-1 gaps is independently "seek" or
 		// "over-read", so the optimum decomposes per gap; still, compute

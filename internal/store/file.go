@@ -76,7 +76,7 @@ func (d *FileStore) open(name string, truncate bool) (*osFile, error) {
 	defer d.mu.Unlock()
 	if f, ok := d.files[name]; ok {
 		if truncate {
-			if err := f.truncate(); err != nil {
+			if err := f.Truncate(0); err != nil {
 				return nil, err
 			}
 		}
@@ -331,25 +331,26 @@ func (f *osFile) Truncate(nblocks int) error {
 	return nil
 }
 
-// truncate resets the file to zero blocks.
-func (f *osFile) truncate() error {
+// SetContents replaces the whole file with p, padded to a block boundary.
+// The new contents are written in place from block 0 and the file is
+// shrunk only when the new extent is shorter, all under f.mu, so a
+// concurrent reader of the old extent never finds the file shorter than
+// the size it observed while the file grows.
+func (f *osFile) SetContents(p []byte) error {
+	bs := f.d.cfg.BlockSize
+	buf := make([]byte, (len(p)+bs-1)/bs*bs)
+	copy(buf, p)
+	size := int64(len(buf))
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.h.Truncate(0); err != nil {
-		return fmt.Errorf("file: truncate %s: %w", f.name, err)
+	if _, err := f.h.WriteAt(buf, 0); err != nil {
+		return fmt.Errorf("file: rewrite %s: %w", f.name, err)
 	}
-	f.size = 0
-	return nil
-}
-
-// SetContents replaces the whole file with p, padded to a block boundary.
-func (f *osFile) SetContents(p []byte) error {
-	if err := f.truncate(); err != nil {
-		return err
+	if size < f.size {
+		if err := f.h.Truncate(size); err != nil {
+			return fmt.Errorf("file: truncate %s: %w", f.name, err)
+		}
 	}
-	if len(p) > 0 {
-		_, _, err := f.Append(p)
-		return err
-	}
+	f.size = size
 	return nil
 }

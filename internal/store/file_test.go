@@ -168,3 +168,52 @@ func TestSessionErrorOnClosedBackend(t *testing.T) {
 		t.Fatal("session should record the failure")
 	}
 }
+
+// TestFileSetContentsConcurrentReaders: while one goroutine rewrites a
+// growing file with SetContents, readers of its old extent must never see
+// the file shorter than that extent (no EOF, no read past end).
+func TestFileSetContentsConcurrentReaders(t *testing.T) {
+	backend, err := OpenFileBackend(t.TempDir(), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backend.Close()
+	f, err := backend.Create("grow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := testConfig().BlockSize
+	const oldBlocks = 4
+	if err := f.SetContents(bytes.Repeat([]byte{1}, oldBlocks*bs)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	errs := make(chan error, 2)
+	for r := 0; r < 2; r++ {
+		go func() {
+			for {
+				select {
+				case <-done:
+					errs <- nil
+					return
+				default:
+				}
+				if _, err := f.ReadBlocks(0, oldBlocks); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for i := 1; i <= 2000; i++ {
+		if err := f.SetContents(bytes.Repeat([]byte{byte(i)}, (oldBlocks+i%8)*bs+i%bs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	for r := 0; r < 2; r++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("reader of the old extent failed during a rewrite: %v", err)
+		}
+	}
+}

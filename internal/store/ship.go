@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 )
 
@@ -128,23 +127,19 @@ func (r *WALReader) Next() (WALRecord, error) {
 			r.off += pad
 			continue
 		}
-		if length < walHeaderSize {
-			return r.finish(true)
-		}
-		if err := r.fill(length); err != nil {
-			if err == io.EOF { // frame runs past the extent: torn tail
-				return r.finish(true)
-			}
+		ok, err := r.frame(length)
+		if err != nil {
 			return WALRecord{}, err
 		}
+		if !ok {
+			if n := walShortPad(r.buf[r.off:], r.bs-(r.base+r.off)%r.bs); n > 0 {
+				r.off += n
+				continue
+			}
+			return r.finish(true)
+		}
 		frame := r.buf[r.off : r.off+length]
-		if crc32.Checksum(frame[8:], castagnoli) != le.Uint32(frame[4:]) {
-			return r.finish(true)
-		}
 		lsn := le.Uint64(frame[8:])
-		if lsn <= r.seen {
-			return r.finish(true)
-		}
 		r.seen = lsn
 		r.off += length
 		if lsn <= r.from {
@@ -156,6 +151,22 @@ func (r *WALReader) Next() (WALRecord, error) {
 			Payload: append([]byte(nil), frame[walHeaderSize:]...),
 		}, nil
 	}
+}
+
+// frame buffers the frame of the given length at the parse offset and
+// reports whether it is intact and follows the last LSN seen. A frame
+// running past the snapshotted extent is not intact.
+func (r *WALReader) frame(length int) (bool, error) {
+	if length < walHeaderSize || r.base+r.off+length > r.end*r.bs {
+		return false, nil
+	}
+	if err := r.fill(length); err != nil {
+		if err == io.EOF {
+			return false, nil
+		}
+		return false, err
+	}
+	return walFrameValid(r.buf[r.off:], length, r.seen), nil
 }
 
 // anyNonZero reports whether any of the next n buffered bytes (clamped

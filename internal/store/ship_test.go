@@ -355,3 +355,27 @@ func TestShipAllRestartsOnMidCopyCheckpoint(t *testing.T) {
 		t.Fatalf("mutation log after restart: err=%v records=%d", err, len(recs))
 	}
 }
+
+// TestWALReaderShortBlockTail: the streaming reader skips padding too
+// short to hold a length field exactly like recovery does.
+func TestWALReaderShortBlockTail(t *testing.T) {
+	for tail := 1; tail <= 3; tail++ {
+		t.Run(fmt.Sprintf("tail=%d", tail), func(t *testing.T) {
+			backend := NewSimStore(testConfig()) // 64-byte blocks
+			want := shortTailLog(t, backend, tail)
+			r := NewWALReader(backend, "t.wal", 0)
+			for i := range want {
+				rec, err := r.Next()
+				if err != nil {
+					t.Fatalf("record %d: %v (torn=%v)", i, err, r.Torn())
+				}
+				if rec.LSN != uint64(i+1) || !bytes.Equal(rec.Payload, want[i]) {
+					t.Fatalf("record %d: LSN %d, %d payload bytes", i, rec.LSN, len(rec.Payload))
+				}
+			}
+			if _, err := r.Next(); err != io.EOF || r.Torn() {
+				t.Fatalf("after last record: err=%v torn=%v", err, r.Torn())
+			}
+		})
+	}
+}

@@ -32,7 +32,9 @@ import (
 // never rewritten by later appends: a torn append can only damage
 // frames of the final (uncommitted) batch, which is exactly the tail
 // recovery is allowed to discard. A length field of zero marks padding;
-// the scanner skips to the next block boundary.
+// the scanner skips to the next block boundary. Padding shorter than a
+// length field (a batch ending 1–3 bytes before a boundary) is
+// recognized as zero bytes where no valid frame starts (walShortPad).
 const (
 	// WALSuffix names write-ahead-log files. WAL records carry their own
 	// CRC32C, so checksum sidecars skip these files (see EnableChecksums).
@@ -125,17 +127,16 @@ func walScan(raw []byte, bs int) (recs []WALRecord, goodEnd int, torn bool) {
 			goodEnd = off
 			continue
 		}
-		if length < walHeaderSize || off+length > len(raw) {
+		if !walFrameValid(raw[off:], length, lastLSN) {
+			if n := walShortPad(raw[off:], bs-off%bs); n > 0 {
+				off += n
+				goodEnd = off
+				continue
+			}
 			return recs, goodEnd, true
 		}
 		frame := raw[off : off+length]
-		if crc32.Checksum(frame[8:], castagnoli) != le.Uint32(frame[4:]) {
-			return recs, goodEnd, true
-		}
 		lsn := le.Uint64(frame[8:])
-		if lsn <= lastLSN {
-			return recs, goodEnd, true
-		}
 		lastLSN = lsn
 		recs = append(recs, WALRecord{
 			LSN:     lsn,
@@ -146,6 +147,35 @@ func walScan(raw []byte, bs int) (recs []WALRecord, goodEnd int, torn bool) {
 		goodEnd = off
 	}
 	return recs, goodEnd, false
+}
+
+// walFrameValid reports whether b begins with an intact frame of the
+// given length whose LSN follows after.
+func walFrameValid(b []byte, length int, after uint64) bool {
+	if length < walHeaderSize || length > len(b) {
+		return false
+	}
+	le := binary.LittleEndian
+	return crc32.Checksum(b[8:length], castagnoli) == le.Uint32(b[4:]) && le.Uint64(b[8:]) > after
+}
+
+// walShortPad returns n, the number of bytes left in the current block,
+// when n is too few to hold a length field and all n are zero: the
+// padding of a commit batch that ended 1–3 bytes before a block
+// boundary. The length read there spans into the next batch's first
+// frame, so scanners fall back to it once no valid frame starts at the
+// offset (a frame may also legitimately start there and span the
+// boundary). It returns 0 otherwise.
+func walShortPad(b []byte, n int) int {
+	if n >= 4 || n > len(b) {
+		return 0
+	}
+	for _, c := range b[:n] {
+		if c != 0 {
+			return 0
+		}
+	}
+	return n
 }
 
 // walInfoOf summarizes a scan result.

@@ -22,6 +22,11 @@ go build ./...
 echo "== go test =="
 go test ./...
 
+echo "== benchmark module =="
+# perfbench is a module of its own, so ./... above skips it; build and
+# test it here so a change to the exported API cannot silently break it.
+(cd perfbench && go vet ./... && go build ./... && go test .)
+
 echo "== go test -race =="
 # internal/core alone needs ~10 min under race on a single-core host,
 # right at the default 10m per-binary timeout; give it headroom.
